@@ -58,7 +58,6 @@ func main() {
 	hb := flag.Duration("hb", 25*time.Millisecond, "heartbeat interval for -selfheal failure detection (0 = rely on connection loss only)")
 	hbMiss := flag.Int("hbmiss", 3, "missed heartbeat intervals before a peer is suspected")
 	recoveryJSON := flag.String("recoveryjson", "BENCH_recovery.json", "where a -chaos run writes the recovery benchmark report (\"\" = skip)")
-	ckptIO := flag.Bool("ckptio", false, "checkpoint -selfheal runs through collective I/O: one shared file per checkpoint, two-phase aggregated writes, data-sieving restore")
 	aggr := flag.Int("aggr", 2, "collective-I/O aggregator rank count")
 	stripe := flag.Int64("stripe", 256<<10, "collective-I/O stripe size in bytes")
 	ioFault := flag.String("iofault", "", "checkpoint I/O fault spec forwarded to every daemon, e.g. short=0.2,eio=0.1,fsync=0.1,enospc=65536,seed=7")
@@ -87,7 +86,7 @@ func main() {
 			selfheal: *selfheal, chaos: *chaos, killRank: *killRank,
 			ckptDir: *ckptDir, ckptEvery: *ckptEvery, hb: *hb, hbMiss: *hbMiss,
 			recoveryJSON: *recoveryJSON,
-			ckptIO:       *ckptIO, aggr: *aggr, stripe: *stripe, ioFault: *ioFault,
+			aggr:         *aggr, stripe: *stripe, ioFault: *ioFault,
 		})
 	case *trace != "" || *analyzeFlag:
 		code = runTracedSolve(*np, *arm, p, *trace, *analyzeFlag)

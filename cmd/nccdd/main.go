@@ -17,19 +17,20 @@
 // ack/retransmission protocol against real sockets; -crashat schedules a
 // local-rank crash in virtual time for fault-tolerance experiments.
 //
-// With -selfheal (or -ckpt) the daemon checkpoints the solve and rides out
+// With -ckpt DIR the daemon checkpoints the solve into DIR and rides out
 // peer failures through the epoch/rejoin recovery protocol instead of
 // aborting; a supervisor relaunches a killed rank with -rejoin -epoch N
 // and the same rank/address, and the replacement restores the agreed
-// checkpoint into the regrown full-size world.  -hb enables the heartbeat
-// failure detector so hung (not just dead) peers are caught.
+// checkpoint into the regrown full-size world.  -selfheal and -rejoin
+// require -ckpt, since a respawned process can only restore from disk.
+// -hb enables the heartbeat failure detector so hung (not just dead) peers
+// are caught.
 //
-// -ckptio switches the checkpoint path from per-rank replicated files to
-// collective I/O: each checkpoint becomes ONE shared file written by -aggr
-// aggregator ranks in -stripe byte stripes (two-phase aggregation), and a
-// restore is a local data-sieving read of just the owned range.  -iofault
-// injects filesystem faults (short writes, EIO, ENOSPC, fsync failure,
-// crash-between-write-and-rename) into either checkpoint path.
+// Checkpoints use collective I/O: each checkpoint is ONE shared file
+// written by -aggr aggregator ranks in -stripe byte stripes (two-phase
+// aggregation), and a restore is a local data-sieving read of just the
+// owned range.  -iofault injects filesystem faults (short writes, EIO,
+// ENOSPC, fsync failure, crash-between-write-and-rename) into it.
 //
 // With -serve ADDR the daemon stops being a one-shot solver and becomes
 // one rank of a long-lived multi-tenant solver service: rank 0 serves the
@@ -86,14 +87,13 @@ func main() {
 	spans := flag.String("spans", "", "write this rank's raw spans (matching identities included) to the given path for cross-rank analysis")
 	metrics := flag.String("metrics", "", "serve the metrics registry over HTTP at this address (e.g. 127.0.0.1:0); the bound address is printed as a METRICS line")
 	dash := flag.Bool("dash", false, "serve the live communication-matrix dashboard at /dash on the -metrics listener (implies -metrics 127.0.0.1:0 when unset)")
-	selfheal := flag.Bool("selfheal", false, "ride out peer failures: checkpoint, and recover via epoch bump + rejoin instead of aborting")
+	selfheal := flag.Bool("selfheal", false, "ride out peer failures: checkpoint, and recover via epoch bump + rejoin instead of aborting (requires -ckpt)")
 	ckptDir := flag.String("ckpt", "", "durable checkpoint directory (shared across ranks; implies -selfheal)")
 	ckptEvery := flag.Int("ckptevery", 1, "checkpoint period in V-cycles for -selfheal runs")
 	rejoin := flag.Bool("rejoin", false, "this process replaces a failed rank: dial the whole surviving mesh and restore from checkpoint")
 	epoch := flag.Uint64("epoch", 0, "membership epoch a -rejoin replacement joins at (the launcher's respawn count)")
 	hb := flag.Duration("hb", 0, "heartbeat interval for the failure detector (0 = disabled; hung-peer detection then relies on connection loss)")
 	hbMiss := flag.Int("hbmiss", 3, "missed heartbeat intervals before a peer is suspected")
-	ckptIO := flag.Bool("ckptio", false, "checkpoint through collective I/O: two-phase aggregated writes into one shared file per checkpoint under -ckpt, data-sieving restore (requires -ckpt)")
 	aggr := flag.Int("aggr", 2, "collective-I/O aggregator rank count")
 	stripe := flag.Int64("stripe", 256<<10, "collective-I/O stripe size in bytes")
 	ioFault := flag.String("iofault", "", "inject checkpoint I/O faults, e.g. short=0.2,eio=0.1,fsync=0.1,enospc=65536,crash=12,seed=7")
@@ -105,6 +105,10 @@ func main() {
 	addrs := strings.Split(*addrList, ",")
 	if *rank < 0 || *n < 1 || *rank >= *n || len(addrs) != *n {
 		fmt.Fprintf(os.Stderr, "nccdd: need -rank in [0,%d) and %d comma-separated -addrs\n", *n, *n)
+		os.Exit(2)
+	}
+	if (*selfheal || *rejoin) && *ckptDir == "" && *serve == "" {
+		fmt.Fprintln(os.Stderr, "nccdd: -selfheal and -rejoin need a -ckpt directory")
 		os.Exit(2)
 	}
 	cfg, mode, err := bench.ArmByName(*arm)
@@ -151,7 +155,6 @@ func main() {
 			CkptDir:         *ckptDir,
 			CheckpointEvery: *ckptEvery,
 			RejoinEpoch:     *epoch,
-			CollectiveIO:    *ckptIO,
 			Aggregators:     *aggr,
 			StripeBytes:     *stripe,
 			IOFaults:        *ioFault,

@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"nccd/internal/ckptio"
-	"nccd/internal/ksp"
 	"nccd/internal/mpi"
 	"nccd/internal/obs"
 	"nccd/internal/petsc"
@@ -286,10 +285,11 @@ func RunMultigridDaemon(tcfg transport.TCPConfig, pl Placement, cfg mpi.Config, 
 
 // SelfHealDaemon configures a rank daemon's self-healing additions.
 type SelfHealDaemon struct {
-	// CkptDir, when non-empty, spills checkpoints durably through a
-	// ksp.FileStore there (per-rank file names, so ranks share the
-	// directory); empty keeps them in process memory, which a respawn
-	// cannot recover.
+	// CkptDir is the shared checkpoint directory (required): every rank
+	// checkpoints through the collective I/O layer there — two-phase
+	// aggregated writes into one shared file per checkpoint, data-sieving
+	// restore of just the owned range — so a respawned process finds its
+	// pre-crash state on disk.
 	CkptDir string
 	// CheckpointEvery is the V-cycle checkpoint period.  Default 1.
 	CheckpointEvery int
@@ -302,11 +302,6 @@ type SelfHealDaemon struct {
 	// chaos controller keys its kill and MTTR clock off these).
 	OnCheckpoint func(iteration int)
 	OnRecovered  func(epoch uint64, restoredAt int)
-	// CollectiveIO switches checkpointing from the per-rank replicated
-	// FileStore to the collective I/O layer: two-phase aggregated writes
-	// into one shared file per checkpoint under CkptDir, data-sieving
-	// restore of just the owned range.  Requires CkptDir.
-	CollectiveIO bool
 	// Aggregators and StripeBytes configure the collective layout
 	// (defaults: 2 aggregators, 256 KiB stripes).
 	Aggregators int
@@ -314,34 +309,7 @@ type SelfHealDaemon struct {
 	// IOFaults, when non-empty, wraps this rank's filesystem in the
 	// fault-injecting ckptio.FaultFS — syntax as ckptio.ParseFaultPlan
 	// ("short=0.2,eio=0.1,fsync=0.1,enospc=65536,crash=12,seed=7").
-	// Applies to both the collective and the per-rank store paths.
 	IOFaults string
-}
-
-// announceStore decorates a checkpoint store with a Put notification.
-type announceStore struct {
-	ksp.Store
-	onPut func(iteration int)
-}
-
-func (a announceStore) Put(cp ksp.Checkpoint) {
-	a.Store.Put(cp)
-	a.onPut(cp.Iteration)
-}
-
-// SetEpoch and Protect forward the retention capabilities of the wrapped
-// store (ksp.FileStore implements both) through the decorator, so the
-// recovery loop's type assertions still reach them.
-func (a announceStore) SetEpoch(e uint64) {
-	if es, ok := a.Store.(interface{ SetEpoch(uint64) }); ok {
-		es.SetEpoch(e)
-	}
-}
-
-func (a announceStore) Protect(iteration int) {
-	if pr, ok := a.Store.(interface{ Protect(int) }); ok {
-		pr.Protect(iteration)
-	}
 }
 
 // RunMultigridSelfHealDaemon hosts one rank of the self-healing multigrid
@@ -374,49 +342,28 @@ func RunMultigridSelfHealDaemon(tcfg transport.TCPConfig, pl Placement, cfg mpi.
 		}
 	}
 
-	var store ksp.Store
-	var collective ksp.OwnedStore
-	switch {
-	case hd.CollectiveIO:
-		if hd.CkptDir == "" {
-			return RankReport{}, fmt.Errorf("collective checkpoint I/O needs a checkpoint directory")
-		}
-		cst, err := ckptio.NewStore(hd.CkptDir, nil, ckptio.Options{
-			StripeBytes: hd.StripeBytes,
-			Aggregators: hd.Aggregators,
-			Faults:      plan,
-			OnCommit:    hd.OnCheckpoint,
-		})
-		if err != nil {
-			return RankReport{}, err
-		}
-		collective = cst
-	case hd.CkptDir != "":
-		var fsys ckptio.FS = ckptio.OSFS{}
-		if plan.Active() {
-			fsys = ckptio.NewFaultFS(fsys, plan)
-		}
-		fs, err := ksp.NewFileStoreFS(hd.CkptDir, tcfg.Rank, fsys)
-		if err != nil {
-			return RankReport{}, err
-		}
-		store = fs
-	default:
-		store = &ksp.CheckpointStore{}
+	if hd.CkptDir == "" {
+		return RankReport{}, fmt.Errorf("self-healing daemon needs a checkpoint directory")
 	}
-	if store != nil && hd.OnCheckpoint != nil {
-		store = announceStore{Store: store, onPut: hd.OnCheckpoint}
+	store, err := ckptio.NewStore(hd.CkptDir, nil, ckptio.Options{
+		StripeBytes: hd.StripeBytes,
+		Aggregators: hd.Aggregators,
+		Faults:      plan,
+		OnCommit:    hd.OnCheckpoint,
+	})
+	if err != nil {
+		return RankReport{}, err
 	}
 
 	var res SelfHealResult
 	wall0 := time.Now()
 	err = w.Run(func(c *mpi.Comm) error {
-		r, herr := SelfHealMultigrid(c, p, mode, store, HealParams{
+		r, herr := SelfHealMultigrid(c, p, mode, nil, HealParams{
 			CheckpointEvery: hd.CheckpointEvery,
 			RejoinEpoch:     hd.RejoinEpoch,
 			AwaitTimeout:    hd.AwaitTimeout,
 			OnRecovered:     hd.OnRecovered,
-			Collective:      collective,
+			Collective:      store,
 		})
 		if herr != nil {
 			return herr

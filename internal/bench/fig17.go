@@ -6,9 +6,8 @@ import (
 	"fmt"
 	"time"
 
+	"nccd/internal/ckptio"
 	"nccd/internal/core"
-	"nccd/internal/ksp"
-	"nccd/internal/mg"
 	"nccd/internal/mpi"
 	"nccd/internal/petsc"
 )
@@ -85,20 +84,21 @@ func RunMultigridWorld(w *mpi.World, p MultigridParams, mode petsc.ScatterMode) 
 
 // MultigridRankOptions extends the per-rank application body for service
 // use: scheduler pacing and cooperative cancellation (OnCycle), periodic
-// checkpoint spill (Store/CheckpointEvery), and crash recovery (Resume).
+// durable checkpoints (Store/CheckpointEvery), and crash recovery (Resume).
 // The zero value runs the plain Fig17 body.
 type MultigridRankOptions struct {
 	// OnCycle, when non-nil, is mg.Solver.OnCycle: called before every
 	// V-cycle; a non-nil error stops the solve (and is returned).
 	OnCycle func(cycle int) error
-	// Store, with CheckpointEvery > 0, spills a checkpoint every
-	// CheckpointEvery cycles.
-	Store           ksp.Store
+	// Store, when non-nil, is bound to this solve's communicator and
+	// finest-level file view; with CheckpointEvery > 0 the solve writes a
+	// collective checkpoint every CheckpointEvery cycles.
+	Store           *ckptio.Store
 	CheckpointEvery int
-	// Resume negotiates the newest checkpoint iteration present in every
-	// rank's Store (stores may have diverged — a replacement rank restarts
-	// from whatever its spill directory holds) and resumes the solve from
-	// it.  With no common checkpoint the solve starts fresh.
+	// Resume negotiates the newest checkpoint iteration every rank's Store
+	// can restore (a rank whose view of a checkpoint fails validation
+	// drops it) and resumes the solve from it.  With no common checkpoint
+	// the solve starts fresh.
 	Resume bool
 }
 
@@ -114,10 +114,7 @@ const tagRestoreBase = 0x7e57
 // problem at the same size.  Collective over c; comm failures surface as
 // the mpi layer's panics (wrap the caller in mpi.Guard).
 func MultigridRank(c *mpi.Comm, p MultigridParams, mode petsc.ScatterMode, opts MultigridRankOptions) (MultigridResult, error) {
-	s := mg.NewAgglomerated(c, []int{p.Extent, p.Extent, p.Extent}, p.Levels, mode, p.AgglomerateCells)
-	if p.Chebyshev {
-		s.Smoother = mg.SmootherChebyshev
-	}
+	s, b, x := mgSetup(c, p, mode)
 	var hookErr error
 	if opts.OnCycle != nil {
 		s.OnCycle = func(cycle int) error {
@@ -128,39 +125,23 @@ func MultigridRank(c *mpi.Comm, p MultigridParams, mode petsc.ScatterMode, opts 
 			return nil
 		}
 	}
-	if opts.Store != nil && opts.CheckpointEvery > 0 {
-		s.Checkpoints = opts.Store
-		s.CheckpointEvery = opts.CheckpointEvery
-	}
-	b := s.CreateVec()
-	// The paper's data grid varies the coordinates uniformly across
-	// the grid in each dimension; use the matching separable forcing.
-	da := s.DA(0)
-	own := da.OwnedBox()
-	ba := b.Array()
-	idx := 0
-	for k := own.Lo[2]; k < own.Hi[2]; k++ {
-		for j := own.Lo[1]; j < own.Hi[1]; j++ {
-			for i := own.Lo[0]; i < own.Hi[0]; i++ {
-				x := (float64(i) + 0.5) / float64(p.Extent)
-				y := (float64(j) + 0.5) / float64(p.Extent)
-				z := (float64(k) + 0.5) / float64(p.Extent)
-				ba[idx] = x * y * z
-				idx++
-			}
-		}
-	}
-	x := s.CreateVec()
 
 	base, r0 := 0, 0.0
-	if opts.Resume && opts.Store != nil {
-		base = negotiateRestoreBase(c, opts.Store)
-		if base > 0 {
-			cp, ok := s.RestoreAt(opts.Store, base, x)
-			if !ok {
-				return MultigridResult{}, fmt.Errorf("bench: agreed restore iteration %d missing locally", base)
+	if opts.Store != nil {
+		da := s.DA(0)
+		opts.Store.Bind(da.Comm(), da.NaturalBytes(), da.NaturalSegments())
+		if opts.CheckpointEvery > 0 {
+			s.OwnedCheckpoints = opts.Store
+			s.CheckpointEvery = opts.CheckpointEvery
+		}
+		if opts.Resume {
+			base = negotiateRestoreBase(c, opts.Store.Iterations())
+			if base > 0 {
+				var ok bool
+				if _, r0, ok = s.RestoreOwnedAt(opts.Store, base, x); !ok {
+					return MultigridResult{}, fmt.Errorf("bench: agreed restore iteration %d missing locally", base)
+				}
 			}
-			r0 = cp.R0
 		}
 	}
 
@@ -192,15 +173,15 @@ func MultigridRank(c *mpi.Comm, p MultigridParams, mode petsc.ScatterMode, opts 
 }
 
 // negotiateRestoreBase agrees on the newest checkpoint iteration present in
-// every rank's store: rank 0 gathers each rank's retained-iteration list
-// over explicit point-to-point messages, intersects, and broadcasts the
-// result (0 when no common iteration exists).  Gather-and-broadcast rather
-// than a bitmap allreduce because iteration numbers are unbounded.
-func negotiateRestoreBase(c *mpi.Comm, st ksp.Store) int {
+// every rank's restorable list its: rank 0 gathers each rank's list over
+// explicit point-to-point messages, intersects, and broadcasts the result
+// (0 when no common iteration exists).  Gather-and-broadcast rather than a
+// bitmap allreduce because iteration numbers are unbounded.
+func negotiateRestoreBase(c *mpi.Comm, its []int) int {
 	common := 0
 	if c.Rank() == 0 {
 		have := make(map[int]int)
-		for _, it := range st.Iterations() {
+		for _, it := range its {
 			have[it]++
 		}
 		for r := 1; r < c.Size(); r++ {
@@ -218,7 +199,7 @@ func negotiateRestoreBase(c *mpi.Comm, st ksp.Store) int {
 			}
 		}
 	} else {
-		buf, err := json.Marshal(st.Iterations())
+		buf, err := json.Marshal(its)
 		if err != nil {
 			buf = []byte("[]")
 		}

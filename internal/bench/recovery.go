@@ -9,7 +9,6 @@ import (
 	"time"
 
 	"nccd/internal/ckptio"
-	"nccd/internal/ksp"
 	"nccd/internal/mpi"
 	"nccd/internal/petsc"
 	"nccd/internal/transport"
@@ -53,19 +52,17 @@ type RecoveryReport struct {
 	TCPRestoredAt  int     `json:"tcp_restored_at_cycle,omitempty"`
 	TCPTotalCycles int     `json:"tcp_total_cycles,omitempty"`
 
-	// Collective checkpoint I/O versus the replicated per-rank spill, on
-	// the same decomposition.  The write-volume numbers are the point of
-	// two-phase aggregation: per-rank replicated writes are O(global)
-	// bytes on every rank, the collective path is O(owned + aggregation
+	// Collective checkpoint I/O cost.  The write-volume numbers are the
+	// point of two-phase aggregation: a replicated spill would write the
+	// O(global) vector on every rank (CkptPerRankWriteBytes, computed
+	// analytically), the collective path writes O(owned + aggregation
 	// share) on the worst rank.
 	CkptGlobalBytes            int64   `json:"ckpt_global_bytes,omitempty"`
 	CkptPerRankWriteBytes      int64   `json:"ckpt_per_rank_write_bytes,omitempty"`
 	CkptCollectiveMaxRankBytes int64   `json:"ckpt_collective_max_rank_bytes,omitempty"`
 	CkptStripeBytes            int64   `json:"ckpt_stripe_bytes,omitempty"`
 	CkptAggregators            int     `json:"ckpt_aggregators,omitempty"`
-	CkptPerRankWriteMS         float64 `json:"ckpt_per_rank_write_ms,omitempty"`
 	CkptCollectiveWriteMS      float64 `json:"ckpt_collective_write_ms,omitempty"`
-	CkptPerRankRestoreMS       float64 `json:"ckpt_per_rank_restore_ms,omitempty"`
 	CkptCollectiveSieveMS      float64 `json:"ckpt_collective_sieve_ms,omitempty"`
 	// The in-process chaos run repeated on the collective path: the
 	// healed history must stay bitwise-identical there too.
@@ -171,23 +168,17 @@ func measureDetection(hb transport.HeartbeatConfig) (rep RecoveryReport, err err
 	return rep, nil
 }
 
-// measureCkptIO times the two checkpoint paths head to head on one
-// in-process world: the replicated spill (every rank gathers the global
-// vector and writes its own copy) against the collective two-phase write
-// and its data-sieving restore, reps checkpoints each, with barriers
-// bracketing the timed loops so stragglers are charged honestly.
+// measureCkptIO times the collective checkpoint path on one in-process
+// world: the two-phase write and its data-sieving restore, reps
+// checkpoints each, with barriers bracketing the timed loops so stragglers
+// are charged honestly.
 func measureCkptIO(n int, p MultigridParams, rep *RecoveryReport) error {
 	const reps = 4
-	dirA, err := os.MkdirTemp("", "nccd-ckpt-perrank-*")
+	dir, err := os.MkdirTemp("", "nccd-ckpt-coll-*")
 	if err != nil {
 		return err
 	}
-	defer os.RemoveAll(dirA)
-	dirB, err := os.MkdirTemp("", "nccd-ckpt-coll-*")
-	if err != nil {
-		return err
-	}
-	defer os.RemoveAll(dirB)
+	defer os.RemoveAll(dir)
 
 	w := NewFaultyWorld(n, mpi.Optimized(), nil)
 	return w.Run(func(c *mpi.Comm) error {
@@ -196,32 +187,7 @@ func measureCkptIO(n int, p MultigridParams, rep *RecoveryReport) error {
 		da := s.DA(0)
 		total := da.NaturalBytes()
 
-		// Replicated per-rank path: gather O(global), write O(global).
-		fsA, err := ksp.NewFileStore(dirA, c.Rank())
-		if err != nil {
-			return err
-		}
-		c.Barrier()
-		t0 := time.Now()
-		for k := 1; k <= reps; k++ {
-			nat := da.GatherNatural(x)
-			fsA.Put(ksp.Checkpoint{Iteration: k, Residual: 0.5, R0: 1, X: nat})
-		}
-		c.Barrier()
-		perWrite := time.Since(t0).Seconds() * 1e3 / reps
-		t0 = time.Now()
-		for k := 0; k < reps; k++ {
-			cp, ok := fsA.At(reps)
-			if !ok {
-				return fmt.Errorf("bench: per-rank checkpoint %d missing", reps)
-			}
-			da.ScatterNatural(cp.X, x)
-		}
-		c.Barrier()
-		perRestore := time.Since(t0).Seconds() * 1e3 / reps
-
-		// Collective path: ship O(owned), aggregate, sieve-read O(owned).
-		// The stripe size is scaled down to the benchmark problem so the
+		// Ship O(owned), aggregate, sieve-read O(owned).  The stripe size is scaled down to the benchmark problem so the
 		// round-robin deal spreads stripes over both aggregators — the same
 		// shape a production-sized vector gets from the 256 KiB default.
 		stripe := total / (4 * int64(c.Size()))
@@ -229,13 +195,13 @@ func measureCkptIO(n int, p MultigridParams, rep *RecoveryReport) error {
 			stripe = 4096
 		}
 		const naggr = 2
-		cst, err := ckptio.NewStore(dirB, nil, ckptio.Options{StripeBytes: stripe, Aggregators: naggr})
+		cst, err := ckptio.NewStore(dir, nil, ckptio.Options{StripeBytes: stripe, Aggregators: naggr})
 		if err != nil {
 			return err
 		}
 		cst.Bind(da.Comm(), total, da.NaturalSegments())
 		c.Barrier()
-		t0 = time.Now()
+		t0 := time.Now()
 		for k := 1; k <= reps; k++ {
 			if err := cst.PutOwned(k, 0.5, 1, x.Array()); err != nil {
 				return err
@@ -253,8 +219,8 @@ func measureCkptIO(n int, p MultigridParams, rep *RecoveryReport) error {
 		c.Barrier()
 		collSieve := time.Since(t0).Seconds() * 1e3 / reps
 
-		// Write volume per checkpoint: the replicated path writes the whole
-		// global vector on every rank; the collective path ships this
+		// Write volume per checkpoint: a replicated spill would write the
+		// whole global vector on every rank; the collective path ships this
 		// rank's owned bytes and writes the stripes it aggregates.
 		l := ckptio.NewLayout(total, stripe, naggr, c.Size())
 		share := int64(0)
@@ -273,9 +239,7 @@ func measureCkptIO(n int, p MultigridParams, rep *RecoveryReport) error {
 			rep.CkptCollectiveMaxRankBytes = int64(maxRank)
 			rep.CkptStripeBytes = l.StripeBytes
 			rep.CkptAggregators = len(l.Aggr)
-			rep.CkptPerRankWriteMS = perWrite
 			rep.CkptCollectiveWriteMS = collWrite
-			rep.CkptPerRankRestoreMS = perRestore
 			rep.CkptCollectiveSieveMS = collSieve
 		}
 		return nil
@@ -332,8 +296,8 @@ func RunRecovery(n int, p MultigridParams, hb transport.HeartbeatConfig) (Recove
 		return rep, fmt.Errorf("bench: collective-I/O healed run's history diverged from the fault-free reference")
 	}
 
-	// Head-to-head checkpoint cost: replicated per-rank spill versus the
-	// collective two-phase write and data-sieving restore.
+	// Checkpoint cost: the collective two-phase write and data-sieving
+	// restore.
 	if err := measureCkptIO(n, p, &rep); err != nil {
 		return rep, err
 	}

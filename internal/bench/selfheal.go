@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"nccd/internal/ckptio"
-	"nccd/internal/datatype"
 	"nccd/internal/ksp"
 	"nccd/internal/mg"
 	"nccd/internal/mpi"
@@ -90,40 +89,7 @@ type HealParams struct {
 	// attempt's communicator and finest-level file view, stamps the
 	// membership epoch into it after every recovery, and protects the
 	// agreed restore point from retention.
-	Collective ksp.OwnedStore
-}
-
-// collectiveBinder is the optional store capability the loop uses to attach
-// a collective store to the current attempt's communicator and view
-// (ckptio.Store implements it; the interface keeps bench decoupled from the
-// concrete type).
-type collectiveBinder interface {
-	Bind(c *mpi.Comm, total int64, segs []datatype.Segment)
-}
-
-// epochStamper and protector are optional store capabilities: stamping the
-// committed membership epoch into subsequent checkpoint keys (the retention
-// fix) and pinning the agreed restore point against pruning.  Both the
-// collective store and ksp.FileStore implement them.
-type epochStamper interface{ SetEpoch(e uint64) }
-type protector interface{ Protect(iteration int) }
-
-// stampStores pushes the committed epoch and the agreed restore point into
-// every store that understands them.
-func stampStores(epoch uint64, base int, stores ...any) {
-	for _, st := range stores {
-		if st == nil {
-			continue
-		}
-		if es, ok := st.(epochStamper); ok {
-			es.SetEpoch(epoch)
-		}
-		if base > 0 {
-			if pr, ok := st.(protector); ok {
-				pr.Protect(base)
-			}
-		}
-	}
+	Collective *ckptio.Store
 }
 
 // SelfHealResult is one rank's outcome of a self-healing solve.
@@ -178,10 +144,8 @@ func SelfHealMultigrid(c *mpi.Comm, p MultigridParams, mode petsc.ScatterMode, s
 					// Attach the collective store to this attempt's
 					// communicator and file view; after a recovery both
 					// the membership and the decomposition have changed.
-					if cb, ok := hp.Collective.(collectiveBinder); ok {
-						da := s.DA(0)
-						cb.Bind(da.Comm(), da.NaturalBytes(), da.NaturalSegments())
-					}
+					da := s.DA(0)
+					hp.Collective.Bind(da.Comm(), da.NaturalBytes(), da.NaturalSegments())
 					s.OwnedCheckpoints, s.CheckpointEvery = hp.Collective, every
 				} else {
 					s.Checkpoints, s.CheckpointEvery = store, every
@@ -244,10 +208,15 @@ func SelfHealMultigrid(c *mpi.Comm, p MultigridParams, mode petsc.ScatterMode, s
 		}
 		cc = nc
 		base = bestCommon(lacked)
-		// Stamp the committed epoch into the stores (so a resumed run's
-		// lower iteration numbers sort after the stale incarnation's) and
-		// pin the agreed restore point against retention.
-		stampStores(epoch, base, store, hp.Collective)
+		// Stamp the committed epoch into the durable store (so a resumed
+		// run's lower iteration numbers sort after the stale incarnation's)
+		// and pin the agreed restore point against retention.
+		if hp.Collective != nil {
+			hp.Collective.SetEpoch(epoch)
+			if base > 0 {
+				hp.Collective.Protect(base)
+			}
+		}
 		res.RestoredAt = base
 		res.Recoveries++
 		if hp.OnRecovered != nil {

@@ -228,6 +228,59 @@ func TestCollectiveRoundTrip(t *testing.T) {
 	})
 }
 
+// TestEpochRetention: a respawned rank at a later epoch writes lower cycle
+// numbers than its pre-crash incarnation; retention, ordered by (epoch,
+// cycle), must evict the stale epoch-0 tail rather than the new
+// incarnation's commits, and Protect must pin the agreed restore point
+// under any pressure.  Every rank checks its own listing right after the
+// collective returns, which is the retention-visibility invariant.
+func TestEpochRetention(t *testing.T) {
+	const n = 2
+	dir := t.TempDir()
+	runWorld(t, n, func(c *mpi.Comm) error {
+		st, err := NewStore(dir, nil, Options{StripeBytes: testStripe, Aggregators: 2, Keep: 3})
+		if err != nil {
+			return err
+		}
+		st.Bind(c, testTotal, testSegs(c.Rank(), n))
+		put := func(cycles ...int) error {
+			for _, cy := range cycles {
+				if err := st.PutOwned(cy, 0.5, 1, testData(cy, c.Rank(), n)); err != nil {
+					return err
+				}
+			}
+			return nil
+		}
+		if err := put(6, 8, 10); err != nil { // epoch 0, pre-crash
+			return err
+		}
+		st.SetEpoch(1)
+		st.Protect(4)
+		if err := put(2, 4); err != nil { // epoch 1, resumed from before 6
+			return err
+		}
+		// (epoch,cycle) order is e0c6 e0c8 e0c10 e1c2 e1c4; Keep=3 drops the
+		// two oldest epoch-0 commits.  Ordering by cycle alone would have
+		// evicted the epoch-1 commits 2 and 4 instead.
+		if its := st.Iterations(); len(its) != 3 || its[0] != 2 || its[1] != 4 || its[2] != 10 {
+			t.Errorf("rank %d retained %v, want [2 4 10]", c.Rank(), its)
+		}
+		// More epoch-1 commits: protected 4 survives, the rest rotate.
+		if err := put(6, 8, 10, 12); err != nil {
+			return err
+		}
+		if its := st.Iterations(); len(its) != 3 || its[0] != 4 || its[1] != 10 || its[2] != 12 {
+			t.Errorf("rank %d retained %v, want [4 10 12]", c.Rank(), its)
+		}
+		dst := make([]float64, len(testData(4, c.Rank(), n)))
+		if _, _, err := st.ReadOwned(4, dst); err != nil {
+			return err
+		}
+		bitwiseEqual(t, dst, testData(4, c.Rank(), n), "protected restore")
+		return nil
+	})
+}
+
 // TestCollectiveFaultMatrix drives the collective write under each injected
 // fault class on a SHARED filesystem and checks the two invariants the
 // design rests on: the epoch outcome is agreed (all ranks fail together or

@@ -120,7 +120,10 @@ func unpackPieces(msg []byte, l Layout, me int, bufs stripeBufs) {
 // rank 0's commit record is durable; a local I/O fault on any rank aborts
 // the epoch on all ranks (via Agree) with no commit record published.
 // Rank death mid-protocol surfaces as the collectives' own typed errors.
-func collectiveWrite(c *mpi.Comm, fs FS, dir string, l Layout, v FileView, local []byte, cm Commit) error {
+// On rank 0, committed runs after the commit record is durable and before
+// the commit broadcast, so whatever it changes in the directory (retention)
+// is visible to every rank once collectiveWrite returns.
+func collectiveWrite(c *mpi.Comm, fs FS, dir string, l Layout, v FileView, local []byte, cm Commit, committed func()) error {
 	size, me := c.Size(), c.Rank()
 	start := c.Clock()
 
@@ -223,6 +226,8 @@ func collectiveWrite(c *mpi.Comm, fs FS, dir string, l Layout, v FileView, local
 			ok = 0
 			localErr = cerr
 			_ = fs.Remove(filepath.Join(dir, dataName(cm.Epoch, cm.Cycle)))
+		} else {
+			committed()
 		}
 		obs.Metrics.Counter("ckpt.commits").Inc()
 	}

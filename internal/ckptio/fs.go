@@ -1,6 +1,6 @@
-// Package ckptio is the collective checkpoint I/O layer: an MPI-IO-style
-// path that turns the per-rank whole-file checkpoint writes of ksp.FileStore
-// into a collective, fault-tolerant operation.  Each rank describes its
+// Package ckptio is the collective checkpoint I/O layer and the runtime's
+// one durable checkpoint store: an MPI-IO-style path that makes checkpoint
+// writes a collective, fault-tolerant operation.  Each rank describes its
 // ghost-free owned subdomain as a noncontiguous *file view* (the same
 // flattened-plan machinery that drives the scatter hot path, applied on the
 // file axis, per Thakur/Gropp/Lusk's two-phase + data-sieving design); a

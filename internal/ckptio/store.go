@@ -158,7 +158,9 @@ func (s *Store) PutOwned(cycle int, residual, r0 float64, data []float64) error 
 		Total:       s.view.Total,
 		StripeBytes: l.StripeBytes,
 	}
-	err := collectiveWrite(s.c, s.fs, s.dir, l, s.view, local, cm)
+	// Rank 0 prunes inside the protocol, before the commit broadcast, so
+	// every rank's listing reflects retention once PutOwned returns.
+	err := collectiveWrite(s.c, s.fs, s.dir, l, s.view, local, cm, s.prune)
 	if err != nil {
 		s.fails++
 		obs.Metrics.Counter("ckpt.aborts").Inc()
@@ -166,9 +168,6 @@ func (s *Store) PutOwned(cycle int, residual, r0 float64, data []float64) error 
 	}
 	s.fails = 0
 	s.valid[commitName(cm.Epoch, cycle)] = true
-	if s.c.Rank() == 0 {
-		s.prune()
-	}
 	if s.opt.OnCommit != nil {
 		s.opt.OnCommit(cycle)
 	}
@@ -333,7 +332,7 @@ func (s *Store) Iterations() []int {
 	return out
 }
 
-// prune enforces retention on rank 0 after a successful commit: keep the
+// prune enforces retention on rank 0 once a commit is durable: keep the
 // newest Keep commits by (epoch, cycle), never removing a protected cycle
 // or the newest commit, then make the unlinks durable with one directory
 // fsync.  Stray uncommitted data files older than the oldest survivor go

@@ -22,13 +22,12 @@ type Checkpoint struct {
 	X  []float64 // natural-order iterate, replicated on every rank
 }
 
-// Store is the checkpoint spill a solver writes to and a recovery reads
-// from.  CheckpointStore keeps recent checkpoints in memory (shared by all
-// ranks of an in-process world); FileStore spills them to disk so they
-// survive the death of the process itself.  After a failure the ranks agree
-// on an iteration every survivor can produce (stores may have diverged —
-// a replacement rank starts from whatever its spill directory still holds),
-// hence At and Iterations alongside Latest.
+// Store is the replicated checkpoint spill a solver writes to and a
+// recovery reads from.  CheckpointStore keeps recent checkpoints in memory
+// (shared by all ranks of an in-process world); checkpoints that must
+// survive the death of the process itself go through an OwnedStore.  After
+// a failure the ranks agree on an iteration every survivor can produce
+// (stores may have diverged), hence At and Iterations alongside Latest.
 type Store interface {
 	// Put records cp.  Every rank of a solve calls Put with an identical
 	// snapshot; implementations are idempotent under those racing writes.
@@ -70,8 +69,8 @@ const keepCheckpoints = 4
 
 // CheckpointStore holds the most recent checkpoints of a solve in memory.
 // In the in-process runtime all ranks share the store, so a checkpoint
-// survives any subset of rank crashes; FileStore is the durable counterpart
-// for multi-process runs.  Safe for concurrent use.
+// survives any subset of rank crashes; the durable counterpart for
+// multi-process runs is an OwnedStore.  Safe for concurrent use.
 type CheckpointStore struct {
 	mu  sync.Mutex
 	cps []Checkpoint // ascending by iteration

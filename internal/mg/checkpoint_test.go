@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"testing"
 
+	"nccd/internal/ckptio"
 	"nccd/internal/ksp"
 	"nccd/internal/mpi"
 	"nccd/internal/petsc"
@@ -13,10 +14,11 @@ import (
 // TestCheckpointNaturalRoundTrip is the recovery-path data property: a
 // checkpoint taken at full world size round-trips BITWISE through
 // dmda.GatherNatural/ScatterNatural across decompositions — restored onto
-// a shrunken sub-communicator (as after a failure), re-gathered, spilled
-// through the durable FileStore (as across a process death), and finally
-// restored onto the regrown full-size world.  Any representation loss
-// along that chain would silently fork the resumed solve's history.
+// a shrunken sub-communicator (as after a failure), re-gathered, written
+// collectively from that shrunken decomposition through a durable
+// ckptio.Store (as before a process death), and finally sieve-read by fresh
+// store handles bound to the regrown full-size world.  Any representation
+// loss along that chain would silently fork the resumed solve's history.
 func TestCheckpointNaturalRoundTrip(t *testing.T) {
 	const n, m = 4, 2 // full world size, shrunken size
 	ext := []int{16, 12, 8}
@@ -51,48 +53,50 @@ func TestCheckpointNaturalRoundTrip(t *testing.T) {
 			color = -1
 		}
 		sub := c.Split(color, 0)
-		var nat2 []float64
 		if sub != nil {
 			ss := New(sub, ext, 2, petsc.ScatterDatatype)
 			x2 := ss.CreateVec()
 			if got, ok := ss.RestoreAt(&store, cp.Iteration, x2); !ok || got.Iteration != cp.Iteration {
 				return fmt.Errorf("RestoreAt on shrunken world failed")
 			}
-			nat2 = ss.DA(0).GatherNatural(x2)
+			nat2 := ss.DA(0).GatherNatural(x2)
 			for i := range cp.X {
 				if nat2[i] != cp.X[i] {
 					return fmt.Errorf("shrink round-trip differs at %d: %v vs %v", i, nat2[i], cp.X[i])
 				}
 			}
-		}
 
-		// Spill through the durable store and read it back with a fresh
-		// handle, as a respawned process would.
-		if c.Rank() == 0 {
-			fs, err := ksp.NewFileStore(dir, c.Rank())
+			// Write the checkpoint durably from the shrunken decomposition.
+			st, err := ckptio.NewStore(dir, nil, ckptio.Options{})
 			if err != nil {
 				return err
 			}
-			fs.Put(ksp.Checkpoint{Iteration: cp.Iteration, Residual: cp.Residual, R0: cp.R0, X: nat2})
+			da := ss.DA(0)
+			st.Bind(da.Comm(), da.NaturalBytes(), da.NaturalSegments())
+			if err := st.PutOwned(cp.Iteration, cp.Residual, cp.R0, x2.Array()); err != nil {
+				return err
+			}
 		}
 		c.Barrier()
-		fs2, err := ksp.NewFileStore(dir, 0)
+
+		// Restore onto the regrown full-size world through a fresh store
+		// handle, as a respawned process would, and compare bitwise.
+		rs := New(c, ext, 2, petsc.ScatterDatatype)
+		x3 := rs.CreateVec()
+		st, err := ckptio.NewStore(dir, nil, ckptio.Options{})
 		if err != nil {
 			return err
 		}
-		disk, ok := fs2.At(cp.Iteration)
+		da := rs.DA(0)
+		st.Bind(da.Comm(), da.NaturalBytes(), da.NaturalSegments())
+		res, r0, ok := rs.RestoreOwnedAt(st, cp.Iteration, x3)
 		if !ok {
 			return fmt.Errorf("durable checkpoint missing after respawn-style reopen")
 		}
-		if disk.R0 != cp.R0 || disk.Residual != cp.Residual {
-			return fmt.Errorf("durable checkpoint metadata drifted: %+v vs %+v", disk, cp)
+		if r0 != cp.R0 || res != cp.Residual {
+			return fmt.Errorf("durable checkpoint metadata drifted: res=%v r0=%v vs %+v", res, r0, cp)
 		}
-
-		// Restore onto the regrown full-size world and compare bitwise.
-		rs := New(c, ext, 2, petsc.ScatterDatatype)
-		x3 := rs.CreateVec()
-		rs.DA(0).ScatterNatural(disk.X, x3)
-		nat3 := rs.DA(0).GatherNatural(x3)
+		nat3 := da.GatherNatural(x3)
 		for i := range cp.X {
 			if nat3[i] != cp.X[i] {
 				return fmt.Errorf("regrow round-trip differs at %d: %v vs %v", i, nat3[i], cp.X[i])

@@ -71,7 +71,8 @@ type Solver struct {
 	// snapshot of the finest-level iterate every CheckpointEvery V-cycles
 	// of Solve, enabling restart on a different (e.g. shrunk or regrown)
 	// communicator.  An in-memory ksp.CheckpointStore survives rank
-	// crashes in-process; a ksp.FileStore survives process death.
+	// crashes in-process; OwnedCheckpoints is the path that survives
+	// process death.
 	Checkpoints     ksp.Store
 	CheckpointEvery int
 

@@ -41,12 +41,16 @@ func hierCtx(ctx uint64) uint64 {
 
 // hierTopo returns the world topology when this collective may take the
 // hierarchical path: world communicator, no failed or exited members, no
-// revoked contexts, and a topology with real structure (more than one
-// node, at least one node hosting several ranks).  Any degradation falls
-// back to the flat algorithms, which own the failure semantics.
+// revoked contexts, no recovery committed yet (epoch 0), and a topology
+// with real structure (more than one node, at least one node hosting
+// several ranks).  Any degradation falls back to the flat algorithms,
+// which own the failure semantics.  The epoch term keeps every rank of a
+// healed world on the same path: survivors carry their revoked contexts
+// forever, while a respawned replacement never saw one, but both leave
+// Restore at the same nonzero epoch.
 func (c *Comm) hierTopo() *Topology {
 	t := c.w.topo
-	if t == nil || c.group != nil || c.w.anyDown.Load() || c.w.anyRevoked.Load() {
+	if t == nil || c.group != nil || c.w.anyDown.Load() || c.w.anyRevoked.Load() || c.w.epoch.Load() > 0 {
 		return nil
 	}
 	if t.Nodes() < 2 || t.Nodes() >= t.Size() {

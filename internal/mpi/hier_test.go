@@ -260,6 +260,32 @@ func TestHierGateOffOnSubComm(t *testing.T) {
 	}
 }
 
+// TestHierGateOffAfterRecovery: once a recovery has committed (epoch > 0)
+// every rank runs the flat algorithms.  A respawned replacement never saw
+// the revocations that turn the survivors flat, so the epoch is the gate
+// both sides share; without it the healed world splits across the two
+// message patterns and deadlocks.
+func TestHierGateOffAfterRecovery(t *testing.T) {
+	counts := []int{3, 5, 2, 7}
+	for _, epoch := range []uint64{0, 1} {
+		cl := simnet.TwoLevel(2, 2, simnet.IBDDR(), simnet.ShmIntra())
+		w := NewWorld(cl, Compiled())
+		w.epoch.Store(epoch)
+		w.Tracer().Enable()
+		err := w.Run(func(c *Comm) error {
+			data := make([]byte, counts[c.Rank()])
+			c.Allgatherv(data, counts, make([]byte, 17))
+			return nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := hierSpans(w, "allgatherv"); (got > 0) != (epoch == 0) {
+			t.Fatalf("epoch %d: %d hierarchical allgatherv spans", epoch, got)
+		}
+	}
+}
+
 // TestHierTwoLevelClockAdvantage checks the virtual-clock payoff the
 // guideline asserts: on a two-level cluster — identical wires both runs —
 // the hierarchical gather completes no later than the flat baseline rule.

@@ -6,7 +6,7 @@ import (
 	"path/filepath"
 
 	"nccd/internal/bench"
-	"nccd/internal/ksp"
+	"nccd/internal/ckptio"
 	"nccd/internal/mpi"
 	"nccd/internal/obs"
 	"nccd/internal/simnet"
@@ -66,15 +66,18 @@ func (s *Service) runJob(m ctlMsg) {
 	s.sch.Register(m.Int, m.Spec.Weight)
 	defer s.sch.Unregister(m.Int)
 
-	var store ksp.Store
+	var store *ckptio.Store
 	if s.cfg.CkptDir != "" {
-		fs, serr := ksp.NewFileStore(filepath.Join(s.cfg.CkptDir, fmt.Sprintf("job%d", m.Ext)), me)
-		if serr != nil {
+		store, err = ckptio.NewStore(filepath.Join(s.cfg.CkptDir, fmt.Sprintf("job%d", m.Ext)), nil, ckptio.Options{})
+		if err != nil {
 			rep.Status = "failed"
-			rep.Error = fmt.Sprintf("checkpoint store: %v", serr)
+			rep.Error = fmt.Sprintf("checkpoint store: %v", err)
 			return
 		}
-		store = fs
+		// Attempt ids only grow, so a relaunched attempt's commits sort
+		// after — and are never evicted in favor of — the failed
+		// attempt's.
+		store.SetEpoch(m.Int)
 	}
 
 	p := bench.MultigridParams{
