@@ -8,7 +8,8 @@
 //  2. solver-level recovery: the Figure 17 multigrid solve (100^3 grid by
 //     default) with a rank crash injected mid-solve, recovered via
 //     Comm.Revoke + Comm.Shrink, re-decomposition over the survivors, and
-//     restart from the last replicated checkpoint.
+//     resumption from the newest checkpoint every survivor can restore —
+//     collective owned-range writes and reads through internal/ckptio.
 //
 // With -iomatrix it instead sweeps injected checkpoint-I/O faults (short
 // writes, EIO, fsync failure, ENOSPC, filesystem crash) over the collective
@@ -49,7 +50,7 @@ func ioMatrix(n int, p bench.MultigridParams) int {
 			fmt.Fprintf(os.Stderr, "faultsim: %v\n", err)
 			return 1
 		}
-		run, err := bench.RunMultigridSelfHealIO(n, p, n/2, 0.5, nil, bench.SelfHealIO{
+		run, err := bench.RunMultigridSelfHeal(n, p, n/2, 0.5, nil, bench.SelfHealIO{
 			CkptDir: dir,
 			Ckpt:    ckptio.Options{StripeBytes: 4096, Aggregators: 2, Faults: plan},
 		})
@@ -70,6 +71,23 @@ func ioMatrix(n int, p bench.MultigridParams) int {
 	return failed
 }
 
+// validateFlags rejects flag values the demo cannot run: fewer than two
+// processes leaves no survivor to shrink to, and the crash rank must name
+// an existing rank (-1 selects the last).
+func validateFlags(procs, crashRank, extent, levels int) error {
+	switch {
+	case procs < 2:
+		return fmt.Errorf("-procs %d: need at least 2 processes", procs)
+	case crashRank < -1 || crashRank >= procs:
+		return fmt.Errorf("-crash-rank %d: must be -1 or a rank in [0, %d)", crashRank, procs)
+	case extent < 2:
+		return fmt.Errorf("-extent %d: need at least 2", extent)
+	case levels < 1:
+		return fmt.Errorf("-levels %d: need at least 1", levels)
+	}
+	return nil
+}
+
 func main() {
 	procs := flag.Int("procs", 16, "process count")
 	extent := flag.Int("extent", 100, "cubic grid extent for the crash demo")
@@ -81,6 +99,10 @@ func main() {
 	iters := flag.Int("iters", 10, "iterations per overhead measurement")
 	ioMat := flag.Bool("iomatrix", false, "sweep injected checkpoint-I/O faults over the collective checkpoint layer (small grid, rank kill mid-solve)")
 	flag.Parse()
+	if err := validateFlags(*procs, *crashRank, *extent, *levels); err != nil {
+		fmt.Fprintf(os.Stderr, "faultsim: %v\n", err)
+		os.Exit(2)
+	}
 
 	if *ioMat {
 		p := bench.MultigridParams{Extent: 16, Levels: 2, Rtol: *rtol, MaxCycles: 20}
@@ -102,14 +124,29 @@ func main() {
 	p := bench.MultigridParams{Extent: *extent, Levels: *levels, Rtol: *rtol, MaxCycles: 50}
 	fmt.Printf("FAULTSIM: %d^3 multigrid on %d ranks, rank %d crashes at %.0f%% of the clean solve\n",
 		p.Extent, *procs, rank, 100**crashFrac)
-	res := bench.RunMultigridFaulted(*procs, p, rank, *crashFrac)
+	dir, err := os.MkdirTemp("", "nccd-faultsim-*")
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "faultsim: %v\n", err)
+		os.Exit(1)
+	}
+	res, err := bench.RunMultigridFaulted(*procs, p, rank, *crashFrac, dir)
+	os.RemoveAll(dir)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "faultsim: %v\n", err)
+		os.Exit(1)
+	}
+	// A full-size survivor set means the first attempt converged before
+	// the scheduled crash time.
+	recovered := res.Survivors < *procs
 	fmt.Printf("  clean solve:    %d cycles, %.4f s virtual\n", res.CleanCycles, res.CleanSeconds)
 	fmt.Printf("  crash injected: t=%.4f s\n", res.CrashAt)
-	if res.CheckpointAt == 0 {
-		// A checkpoint is always stamped with cycle >= 1, so zero means the
-		// first attempt converged before the scheduled crash time.
+	switch {
+	case !recovered:
 		fmt.Printf("  recovery:       none needed — crash fell after convergence\n")
-	} else {
+	case res.CheckpointAt == 0:
+		fmt.Printf("  recovery:       shrink to %d survivors, restart from scratch (no common checkpoint)\n",
+			res.Survivors)
+	default:
 		fmt.Printf("  recovery:       shrink to %d survivors, restart from checkpoint of cycle %d\n",
 			res.Survivors, res.CheckpointAt)
 	}
@@ -120,7 +157,7 @@ func main() {
 		fmt.Println("  RESULT: solve did NOT converge after the crash")
 		os.Exit(1)
 	}
-	if res.CheckpointAt == 0 {
+	if !recovered {
 		fmt.Println("  RESULT: solve converged before the scheduled crash; no recovery exercised")
 	} else {
 		fmt.Println("  RESULT: solve converged after mid-solve rank crash via Comm.Shrink()")

@@ -358,12 +358,12 @@ func RunMultigridSelfHealDaemon(tcfg transport.TCPConfig, pl Placement, cfg mpi.
 	var res SelfHealResult
 	wall0 := time.Now()
 	err = w.Run(func(c *mpi.Comm) error {
-		r, herr := SelfHealMultigrid(c, p, mode, nil, HealParams{
+		r, herr := SelfHealMultigrid(c, p, mode, HealParams{
 			CheckpointEvery: hd.CheckpointEvery,
 			RejoinEpoch:     hd.RejoinEpoch,
 			AwaitTimeout:    hd.AwaitTimeout,
 			OnRecovered:     hd.OnRecovered,
-			Collective:      store,
+			Store:           store,
 		})
 		if herr != nil {
 			return herr

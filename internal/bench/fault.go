@@ -4,7 +4,7 @@ import (
 	"errors"
 	"fmt"
 
-	"nccd/internal/ksp"
+	"nccd/internal/ckptio"
 	"nccd/internal/mg"
 	"nccd/internal/mpi"
 	"nccd/internal/petsc"
@@ -84,9 +84,9 @@ type FaultedMultigridResult struct {
 	CleanCycles  int     // V-cycles of the reference (fault-free) solve
 	CleanSeconds float64 // virtual time of the reference solve
 	CrashAt      float64 // virtual time the crash was scheduled at
-	CheckpointAt int     // V-cycle the restored checkpoint was taken at
+	CheckpointAt int     // V-cycle the restored checkpoint was taken at (0 = restarted from scratch)
 	Survivors    int     // communicator size after Shrink
-	CyclesAfter  int     // V-cycles the restarted solve needed
+	CyclesAfter  int     // V-cycles the restarted solve needed, beyond CheckpointAt
 	RelRes       float64 // final residual relative to the original r0
 	Seconds      float64 // virtual time of the faulted run, recovery included
 	Recovered    bool
@@ -126,12 +126,15 @@ func recoverable(err error) bool {
 
 // RunMultigridFaulted runs the Section 5.5 multigrid solve (Figure 17's
 // workload) with a rank crash injected at crashFrac of the clean solve's
-// virtual duration, and drives the full recovery loop: survivors catch the
-// typed failure, revoke the communicator so no rank stays blocked, agree on
-// the survivor set via Shrink, rebuild the solver hierarchy on the shrunk
-// communicator's re-decomposition, restore the last replicated checkpoint
-// as the initial guess, and iterate to the original tolerance.
-func RunMultigridFaulted(n int, p MultigridParams, crashRank int, crashFrac float64) FaultedMultigridResult {
+// virtual duration, and drives the full ULFM-style recovery: survivors
+// catch the typed failure, revoke the communicator so no rank stays
+// blocked, agree on the survivor set via Shrink, rebuild the solver
+// hierarchy on the shrunk communicator's re-decomposition, and resume from
+// the newest checkpoint every survivor can restore.  Checkpoints are
+// collective writes into ckptDir, one per cycle, through the same store,
+// epoch rule and restore negotiation as the self-healing loop, so the
+// resumed solve measures residuals against the original r0.
+func RunMultigridFaulted(n int, p MultigridParams, crashRank int, crashFrac float64, ckptDir string) (FaultedMultigridResult, error) {
 	var res FaultedMultigridResult
 
 	// Clean reference: calibrates the crash time and the expected result.
@@ -145,7 +148,7 @@ func RunMultigridFaulted(n int, p MultigridParams, crashRank int, crashFrac floa
 		return nil
 	})
 	if err != nil {
-		panic(err)
+		return res, err
 	}
 	res.CleanSeconds = w.MaxClock()
 	res.CrashAt = crashFrac * res.CleanSeconds
@@ -153,15 +156,17 @@ func RunMultigridFaulted(n int, p MultigridParams, crashRank int, crashFrac floa
 	fw := NewFaultyWorld(n, mpi.Optimized(), &simnet.FaultPlan{
 		CrashAt: map[int]float64{crashRank: res.CrashAt},
 	})
-	var store ksp.CheckpointStore
 	err = fw.Run(func(c *mpi.Comm) error {
+		st, err := ckptio.NewStore(ckptDir, nil, ckptio.Options{})
+		if err != nil {
+			return err
+		}
 		// First attempt, checkpointing every cycle.  The crashed rank never
 		// returns from this (its goroutine dies); survivors get a typed
 		// error out of Guard.
 		werr := mpi.Guard(func() error {
 			s, b, x := mgSetup(c, p, petsc.ScatterDatatype)
-			s.Checkpoints = &store
-			s.CheckpointEvery = 1
+			bindCheckpoints(s, st, 1)
 			cycles, relres := s.Solve(b, x, p.Rtol, p.MaxCycles)
 			if c.Rank() == 0 {
 				res.CyclesAfter, res.RelRes = cycles, relres
@@ -177,37 +182,34 @@ func RunMultigridFaulted(n int, p MultigridParams, crashRank int, crashFrac floa
 		}
 
 		// Recovery: revoke (so survivors blocked on us fail over promptly),
-		// shrink, re-decompose, restore, resume.
+		// shrink, re-decompose, agree on a restore point, resume.
 		c.Revoke()
 		nc, serr := c.Shrink()
 		if serr != nil {
 			return serr
 		}
-		cp, ok := store.Latest()
-		if !ok || cp.Residual <= 0 {
-			return fmt.Errorf("no usable checkpoint at crash time (iteration %d)", cp.Iteration)
-		}
 		return mpi.Guard(func() error {
 			s, b, x := mgSetup(nc, p, petsc.ScatterDatatype)
-			s.Restore(&store, x)
-			// The restored guess already sits at relative residual
-			// cp.Residual; tightening the restarted solve's relative
-			// tolerance by that factor lands the final residual at the
-			// original target rtol * r0.
-			cycles, relres := s.Solve(b, x, p.Rtol/cp.Residual, p.MaxCycles)
+			bindCheckpoints(s, st, 1)
+			base := negotiateRestoreBase(nc, st.Iterations())
+			commitRestorePoint(st, 1, base)
+			cycles, relres, err := resumeFrom(s, st, b, x, p, base)
+			if err != nil {
+				return err
+			}
 			if nc.Rank() == 0 {
-				res.CheckpointAt = cp.Iteration
+				res.CheckpointAt = base
 				res.Survivors = nc.Size()
 				res.CyclesAfter = cycles
-				res.RelRes = relres * cp.Residual
-				res.Recovered = relres <= p.Rtol/cp.Residual
+				res.RelRes = relres
+				res.Recovered = relres <= p.Rtol
 			}
 			return nil
 		})
 	})
 	if err != nil {
-		panic(err)
+		return res, err
 	}
 	res.Seconds = fw.MaxClock()
-	return res
+	return res, nil
 }

@@ -179,7 +179,10 @@ func TestFaultOverheadExperiment(t *testing.T) {
 // grid: crash mid-solve, shrink, re-decompose, restore, converge.
 func TestMultigridRecoversFromCrash(t *testing.T) {
 	p := MultigridParams{Extent: 16, Levels: 2, Rtol: 1e-6, MaxCycles: 40}
-	res := RunMultigridFaulted(4, p, 2, 0.5)
+	res, err := RunMultigridFaulted(4, p, 2, 0.5, t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
 	if !res.Recovered {
 		t.Fatalf("solve did not recover: %+v", res)
 	}

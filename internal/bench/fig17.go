@@ -131,14 +131,14 @@ func MultigridRank(c *mpi.Comm, p MultigridParams, mode petsc.ScatterMode, opts 
 		da := s.DA(0)
 		opts.Store.Bind(da.Comm(), da.NaturalBytes(), da.NaturalSegments())
 		if opts.CheckpointEvery > 0 {
-			s.OwnedCheckpoints = opts.Store
+			s.Checkpoints = opts.Store
 			s.CheckpointEvery = opts.CheckpointEvery
 		}
 		if opts.Resume {
 			base = negotiateRestoreBase(c, opts.Store.Iterations())
 			if base > 0 {
 				var ok bool
-				if _, r0, ok = s.RestoreOwnedAt(opts.Store, base, x); !ok {
+				if _, r0, ok = s.RestoreAt(opts.Store, base, x); !ok {
 					return MultigridResult{}, fmt.Errorf("bench: agreed restore iteration %d missing locally", base)
 				}
 			}

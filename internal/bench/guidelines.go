@@ -30,10 +30,10 @@ import (
 // GuidelineRow is one measured guideline: the preferred formulation, the
 // baseline it must not lose to, and the verdict.
 type GuidelineRow struct {
-	Name        string  `json:"name"`
-	Description string  `json:"description"`
-	Preferred   string  `json:"preferred"`
-	Baseline    string  `json:"baseline"`
+	Name        string `json:"name"`
+	Description string `json:"description"`
+	Preferred   string `json:"preferred"`
+	Baseline    string `json:"baseline"`
 	// PreferredNs and BaselineNs are per-operation costs: wall-clock
 	// nanoseconds for wire guidelines, virtual-time nanoseconds for
 	// model-clock guidelines (Clock says which).

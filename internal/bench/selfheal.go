@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"nccd/internal/ckptio"
-	"nccd/internal/ksp"
 	"nccd/internal/mg"
 	"nccd/internal/mpi"
 	"nccd/internal/petsc"
@@ -28,24 +27,17 @@ import (
 // agreement compute the intersection of what everyone holds.
 const availWords = 8
 
-// availLister is the one method the availability consensus needs from any
-// checkpoint store — per-rank replicated (ksp.Store) or collective
-// (ksp.OwnedStore) alike.
-type availLister interface{ Iterations() []int }
-
-// lackBitmap encodes which checkpoint iterations this rank CANNOT produce.
-// Bit 0 (iteration 0 = restart from the zero guess) is always clear: every
-// rank can start over, so the recovery never fails to agree.
-func lackBitmap(st availLister) []uint64 {
+// lackBitmap encodes which checkpoint iterations this rank CANNOT produce,
+// given the iterations its store can restore.  Bit 0 (iteration 0 =
+// restart from the zero guess) is always clear: every rank can start over,
+// so the recovery never fails to agree.
+func lackBitmap(its []int) []uint64 {
 	words := make([]uint64, availWords)
 	for i := range words {
 		words[i] = ^uint64(0)
 	}
 	words[0] &^= 1
-	if st == nil {
-		return words
-	}
-	for _, it := range st.Iterations() {
+	for _, it := range its {
 		if it > 0 && it < availWords*64 {
 			words[it/64] &^= 1 << uint(it%64)
 		}
@@ -63,6 +55,42 @@ func bestCommon(words []uint64) int {
 		}
 	}
 	return 0
+}
+
+// bindCheckpoints attaches st to this solve attempt's communicator and
+// finest-level file view — after a recovery both the membership and the
+// decomposition have changed — and makes it the solver's checkpoint store.
+func bindCheckpoints(s *mg.Solver, st *ckptio.Store, every int) {
+	da := s.DA(0)
+	st.Bind(da.Comm(), da.NaturalBytes(), da.NaturalSegments())
+	s.Checkpoints, s.CheckpointEvery = st, every
+}
+
+// commitRestorePoint stamps a committed recovery's epoch into the store (so
+// a resumed run's lower iteration numbers sort after the stale
+// incarnation's) and pins the agreed restore point against retention.
+func commitRestorePoint(st *ckptio.Store, epoch uint64, base int) {
+	st.SetEpoch(epoch)
+	if base > 0 {
+		st.Protect(base)
+	}
+}
+
+// resumeFrom solves on from the agreed restore iteration base: the
+// checkpoint's owned values are sieve-read into x and the solve continues
+// against its original r0, so the resumed history is comparable to a
+// fault-free run.  base 0 solves from the zero guess.
+func resumeFrom(s *mg.Solver, st *ckptio.Store, b, x *petsc.Vec, p MultigridParams, base int) (cycles int, relres float64, err error) {
+	if base == 0 {
+		cycles, relres = s.Solve(b, x, p.Rtol, p.MaxCycles)
+		return cycles, relres, nil
+	}
+	_, r0, ok := s.RestoreAt(st, base, x)
+	if !ok {
+		return 0, 0, fmt.Errorf("bench: checkpoint %d agreed available but missing locally", base)
+	}
+	cycles, relres = s.SolveFrom(b, x, p.Rtol, p.MaxCycles-base, base, r0)
+	return cycles, relres, nil
 }
 
 // HealParams configures a self-healing solve.
@@ -83,13 +111,13 @@ type HealParams struct {
 	// OnRecovered, when non-nil, is called after each committed recovery
 	// with the new epoch and the agreed restore iteration (MTTR probes).
 	OnRecovered func(epoch uint64, restoredAt int)
-	// Collective, when non-nil, checkpoints through the collective I/O
-	// path (two-phase aggregated writes, data-sieving restore) instead of
-	// the replicated per-rank store.  The loop binds it to each solve
-	// attempt's communicator and finest-level file view, stamps the
+	// Store is this rank's handle on the shared checkpoint directory
+	// (required): checkpoints are two-phase aggregated writes, restores
+	// data-sieving reads of the owned range.  The loop binds it to each
+	// solve attempt's communicator and finest-level file view, stamps the
 	// membership epoch into it after every recovery, and protects the
 	// agreed restore point from retention.
-	Collective *ckptio.Store
+	Store *ckptio.Store
 }
 
 // SelfHealResult is one rank's outcome of a self-healing solve.
@@ -115,8 +143,12 @@ type SelfHealResult struct {
 // and the same restore iteration; the solve then resumes from that
 // checkpoint with the original r0, making the resumed residual history
 // bitwise-comparable to a fault-free run.
-func SelfHealMultigrid(c *mpi.Comm, p MultigridParams, mode petsc.ScatterMode, store ksp.Store, hp HealParams) (SelfHealResult, error) {
+func SelfHealMultigrid(c *mpi.Comm, p MultigridParams, mode petsc.ScatterMode, hp HealParams) (SelfHealResult, error) {
 	res := SelfHealResult{RestoredAt: -1}
+	st := hp.Store
+	if st == nil {
+		return res, fmt.Errorf("bench: self-healing solve needs a checkpoint store")
+	}
 	maxRec := hp.MaxRecoveries
 	if maxRec <= 0 {
 		maxRec = 4
@@ -140,34 +172,10 @@ func SelfHealMultigrid(c *mpi.Comm, p MultigridParams, mode petsc.ScatterMode, s
 			werr := mpi.Guard(func() error {
 				var b, x *petsc.Vec
 				s, b, x = mgSetup(cc, p, mode)
-				if hp.Collective != nil {
-					// Attach the collective store to this attempt's
-					// communicator and file view; after a recovery both
-					// the membership and the decomposition have changed.
-					da := s.DA(0)
-					hp.Collective.Bind(da.Comm(), da.NaturalBytes(), da.NaturalSegments())
-					s.OwnedCheckpoints, s.CheckpointEvery = hp.Collective, every
-				} else {
-					s.Checkpoints, s.CheckpointEvery = store, every
-				}
-				var cycles int
-				var relres float64
-				if base > 0 {
-					if hp.Collective != nil {
-						_, r0, ok := s.RestoreOwnedAt(hp.Collective, base, x)
-						if !ok {
-							return fmt.Errorf("bench: checkpoint %d agreed available but missing locally", base)
-						}
-						cycles, relres = s.SolveFrom(b, x, p.Rtol, p.MaxCycles-base, base, r0)
-					} else {
-						cp, ok := s.RestoreAt(store, base, x)
-						if !ok {
-							return fmt.Errorf("bench: checkpoint %d agreed available but missing locally", base)
-						}
-						cycles, relres = s.SolveFrom(b, x, p.Rtol, p.MaxCycles-base, base, cp.R0)
-					}
-				} else {
-					cycles, relres = s.Solve(b, x, p.Rtol, p.MaxCycles)
+				bindCheckpoints(s, st, every)
+				cycles, relres, err := resumeFrom(s, st, b, x, p, base)
+				if err != nil {
+					return err
 				}
 				res.Cycles = base + cycles
 				res.RelRes = relres
@@ -196,27 +204,13 @@ func SelfHealMultigrid(c *mpi.Comm, p MultigridParams, mode petsc.ScatterMode, s
 		if res.Recoveries >= maxRec {
 			return res, fmt.Errorf("bench: giving up after %d recoveries", res.Recoveries)
 		}
-		avail := availLister(nil)
-		if hp.Collective != nil {
-			avail = hp.Collective
-		} else if store != nil {
-			avail = store
-		}
-		nc, lacked, rerr := cc.Restore(epoch, lackBitmap(avail), timeout)
+		nc, lacked, rerr := cc.Restore(epoch, lackBitmap(st.Iterations()), timeout)
 		if rerr != nil {
 			return res, rerr
 		}
 		cc = nc
 		base = bestCommon(lacked)
-		// Stamp the committed epoch into the durable store (so a resumed
-		// run's lower iteration numbers sort after the stale incarnation's)
-		// and pin the agreed restore point against retention.
-		if hp.Collective != nil {
-			hp.Collective.SetEpoch(epoch)
-			if base > 0 {
-				hp.Collective.Protect(base)
-			}
-		}
+		commitRestorePoint(st, epoch, base)
 		res.RestoredAt = base
 		res.Recoveries++
 		if hp.OnRecovered != nil {
@@ -242,11 +236,10 @@ type SelfHealRun struct {
 	Seconds        float64 // virtual time of the healed run
 }
 
-// SelfHealIO selects the checkpoint path of an in-process chaos run.
+// SelfHealIO configures the checkpoints of an in-process chaos run.
 type SelfHealIO struct {
-	// CkptDir, when non-empty, checkpoints through the collective I/O
-	// layer (two-phase aggregated writes, data-sieving restore) into this
-	// directory; empty uses the in-memory replicated store.
+	// CkptDir is the shared checkpoint directory (required): every rank
+	// holds its own store handle over it.
 	CkptDir string
 	// Ckpt configures the collective store (stripe size, aggregators,
 	// per-rank fault plans).
@@ -261,17 +254,14 @@ type SelfHealIO struct {
 // reference problem cleanly, replays it with crashRank dying at crashFrac of
 // the clean duration (plus any link faults from fp), supervises the run from
 // an outside goroutine that Respawns dead ranks, and verifies the healed
-// run's convergence history bitwise against the reference.
-func RunMultigridSelfHeal(n int, p MultigridParams, crashRank int, crashFrac float64, fp *simnet.FaultPlan) (SelfHealRun, error) {
-	return RunMultigridSelfHealIO(n, p, crashRank, crashFrac, fp, SelfHealIO{})
-}
-
-// RunMultigridSelfHealIO is RunMultigridSelfHeal with a selectable
-// checkpoint path: io.CkptDir switches the run onto the collective
-// checkpoint layer, with every rank holding its own store handle over a
-// shared directory (and, optionally, a shared fault-injecting filesystem).
-func RunMultigridSelfHealIO(n int, p MultigridParams, crashRank int, crashFrac float64, fp *simnet.FaultPlan, io SelfHealIO) (SelfHealRun, error) {
+// run's convergence history bitwise against the reference.  Every rank
+// checkpoints through its own collective store handle over io.CkptDir
+// (and, optionally, a shared fault-injecting filesystem).
+func RunMultigridSelfHeal(n int, p MultigridParams, crashRank int, crashFrac float64, fp *simnet.FaultPlan, io SelfHealIO) (SelfHealRun, error) {
 	var out SelfHealRun
+	if io.CkptDir == "" {
+		return out, fmt.Errorf("bench: self-healing run needs a checkpoint directory")
+	}
 
 	w := NewFaultyWorld(n, mpi.Optimized(), nil)
 	err := w.Run(func(c *mpi.Comm) error {
@@ -294,27 +284,23 @@ func RunMultigridSelfHealIO(n int, p MultigridParams, crashRank int, crashFrac f
 	}
 	fw := NewFaultyWorld(n, mpi.Optimized(), plan)
 
-	var store ksp.CheckpointStore
 	var mu sync.Mutex
 	var detectedAt, recoveredAt time.Time
 	body := func(rejoinEpoch uint64) func(c *mpi.Comm) error {
 		return func(c *mpi.Comm) error {
-			hp := HealParams{CheckpointEvery: 1, RejoinEpoch: rejoinEpoch,
+			st, err := ckptio.NewStore(io.CkptDir, io.FS, io.Ckpt)
+			if err != nil {
+				return err
+			}
+			r, err := SelfHealMultigrid(c, p, petsc.ScatterDatatype, HealParams{
+				CheckpointEvery: 1, RejoinEpoch: rejoinEpoch, Store: st,
 				OnRecovered: func(uint64, int) {
 					mu.Lock()
 					if recoveredAt.IsZero() {
 						recoveredAt = time.Now()
 					}
 					mu.Unlock()
-				}}
-			if io.CkptDir != "" {
-				cst, cerr := ckptio.NewStore(io.CkptDir, io.FS, io.Ckpt)
-				if cerr != nil {
-					return cerr
-				}
-				hp.Collective = cst
-			}
-			r, err := SelfHealMultigrid(c, p, petsc.ScatterDatatype, &store, hp)
+				}})
 			if err != nil {
 				return err
 			}

@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"nccd/internal/ckptio"
-	"nccd/internal/ksp"
 	"nccd/internal/mpi"
 	"nccd/internal/petsc"
 	"nccd/internal/simnet"
@@ -20,7 +19,7 @@ import (
 // from the restored cycle on.
 func TestSelfHealMultigrid(t *testing.T) {
 	p := MultigridParams{Extent: 16, Levels: 2, Rtol: 1e-6, MaxCycles: 20}
-	run, err := RunMultigridSelfHeal(4, p, 2, 0.5, nil)
+	run, err := RunMultigridSelfHeal(4, p, 2, 0.5, nil, SelfHealIO{CkptDir: t.TempDir()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -52,7 +51,7 @@ func TestSelfHealMultigrid(t *testing.T) {
 func TestSelfHealMultigridLossy(t *testing.T) {
 	p := MultigridParams{Extent: 16, Levels: 2, Rtol: 1e-6, MaxCycles: 20}
 	fp := &simnet.FaultPlan{Seed: 7, Drop: 0.01, Duplicate: 0.01}
-	run, err := RunMultigridSelfHeal(4, p, 2, 0.5, fp)
+	run, err := RunMultigridSelfHeal(4, p, 2, 0.5, fp, SelfHealIO{CkptDir: t.TempDir()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -69,7 +68,7 @@ func TestSelfHealMultigridLossy(t *testing.T) {
 // check that a replacement incarnation picks the reporting duty back up.
 func TestSelfHealRankZero(t *testing.T) {
 	p := MultigridParams{Extent: 16, Levels: 2, Rtol: 1e-6, MaxCycles: 20}
-	run, err := RunMultigridSelfHeal(4, p, 0, 0.5, nil)
+	run, err := RunMultigridSelfHeal(4, p, 0, 0.5, nil, SelfHealIO{CkptDir: t.TempDir()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -84,11 +83,7 @@ func TestSelfHealRankZero(t *testing.T) {
 // TestLackBitmap covers the availability-consensus encoding: the OR of lack
 // bitmaps picks the newest commonly held checkpoint, falling back to 0.
 func TestLackBitmap(t *testing.T) {
-	mk := func(its ...int) []uint64 {
-		var st fakeStore
-		st.its = its
-		return lackBitmap(&st)
-	}
+	mk := func(its ...int) []uint64 { return lackBitmap(its) }
 	or := func(a, b []uint64) []uint64 {
 		out := make([]uint64, len(a))
 		for i := range a {
@@ -110,13 +105,36 @@ func TestLackBitmap(t *testing.T) {
 	}
 }
 
-// fakeStore only serves Iterations; lackBitmap reads nothing else.
-type fakeStore struct{ its []int }
-
-func (f *fakeStore) Put(ksp.Checkpoint)             {}
-func (f *fakeStore) Latest() (ksp.Checkpoint, bool) { return ksp.Checkpoint{}, false }
-func (f *fakeStore) At(int) (ksp.Checkpoint, bool)  { return ksp.Checkpoint{}, false }
-func (f *fakeStore) Iterations() []int              { return f.its }
+// TestNegotiateRestoreBase covers the point-to-point restore agreement that
+// service resume and the Shrink path share: the newest iteration every
+// rank lists wins, and one rank with nothing forces a restart from 0.
+func TestNegotiateRestoreBase(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		its  [][]int
+		want int
+	}{
+		{"divergent", [][]int{{2, 4}, {2, 4}, {2}}, 2},
+		{"one-empty", [][]int{{2, 4}, {}, {2, 4}}, 0},
+		{"all-equal", [][]int{{3, 6, 9}, {3, 6, 9}, {3, 6, 9}}, 9},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			got := make([]int, len(tc.its))
+			err := NewFaultyWorld(len(tc.its), mpi.Optimized(), nil).Run(func(c *mpi.Comm) error {
+				got[c.Rank()] = negotiateRestoreBase(c, tc.its[c.Rank()])
+				return nil
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for r, g := range got {
+				if g != tc.want {
+					t.Fatalf("rank %d agreed on %d, want %d (all: %v)", r, g, tc.want, got)
+				}
+			}
+		})
+	}
+}
 
 // TestRunRecoveryReport smoke-tests the benchmark entry point: detection
 // fires within the configured window, steady-state beat traffic is nonzero,

@@ -101,8 +101,9 @@ func overlap(nat, n, lo, hi int) int {
 // the nonuniform-volume path the paper studies — which also means it
 // degrades gracefully after rank failures: a dead rank's (empty)
 // contribution is skipped and the survivors still obtain the array.  The
-// replication is what makes the result usable as a checkpoint: any
-// surviving subset of ranks holds the complete state.  Collective.
+// O(global) result suits verification (a decomposition-independent view
+// to compare bitwise); checkpoints go through the owned-range file view
+// of NaturalSegments instead.  Collective.
 func (da *DA) GatherNatural(g *petsc.Vec) []float64 {
 	return da.GatherNaturalRange(g, 0, da.NaturalCount())
 }
@@ -168,43 +169,6 @@ func (da *DA) GatherNaturalRange(g *petsc.Vec, lo, hi int) []float64 {
 		})
 	}
 	return out
-}
-
-// placeBox copies a box's values (canonical box order) into their
-// natural-order positions.
-func (da *DA) placeBox(b Box, vals, nat []float64) {
-	rowN := (b.Hi[0] - b.Lo[0]) * da.dof
-	src := 0
-	for k := b.Lo[2]; k < b.Hi[2]; k++ {
-		for j := b.Lo[1]; j < b.Hi[1]; j++ {
-			copy(nat[da.naturalIndex(b.Lo[0], j, k):], vals[src:src+rowN])
-			src += rowN
-		}
-	}
-}
-
-// ScatterNatural fills this rank's part of the distributed vector g from a
-// replicated natural-order array, the inverse of GatherNatural.  Purely
-// local — which is the point: after a failure, a new DA over the shrunk
-// communicator restores its decomposition from the replicated checkpoint
-// without any communication.
-func (da *DA) ScatterNatural(nat []float64, g *petsc.Vec) {
-	if len(nat) != da.NaturalCount() {
-		panic(fmt.Sprintf("dmda: natural array %d does not match grid %d", len(nat), da.NaturalCount()))
-	}
-	if g.LocalSize() != da.OwnedCount() {
-		panic("dmda: global vector does not match DA layout")
-	}
-	ga := g.Array()
-	b := da.own
-	rowN := (b.Hi[0] - b.Lo[0]) * da.dof
-	dst := 0
-	for k := b.Lo[2]; k < b.Hi[2]; k++ {
-		for j := b.Lo[1]; j < b.Hi[1]; j++ {
-			copy(ga[dst:dst+rowN], nat[da.naturalIndex(b.Lo[0], j, k):])
-			dst += rowN
-		}
-	}
 }
 
 // ScatterNaturalRange fills the parts of this rank's portion of g that fall

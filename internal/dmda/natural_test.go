@@ -8,11 +8,11 @@ import (
 	"nccd/internal/simnet"
 )
 
-// TestGatherScatterNatural: gathering a distributed vector yields the same
-// replicated natural-order array on every rank and under every
-// decomposition, and scattering it into a differently-decomposed DA (fewer
-// ranks, as after a shrink) reproduces the distributed values.
-func TestGatherScatterNatural(t *testing.T) {
+// TestGatherScatterNaturalRange: gathering a distributed vector yields the
+// same replicated natural-order array on every rank and under every
+// decomposition, and scattering the full natural window into a fresh DA
+// with ScatterNaturalRange reproduces the distributed values.
+func TestGatherScatterNaturalRange(t *testing.T) {
 	n := []int{12, 10, 6}
 	fill := func(da *DA, g *petsc.Vec) {
 		own := da.OwnedBox()
@@ -56,7 +56,7 @@ func TestGatherScatterNatural(t *testing.T) {
 			// Round-trip through a coarser decomposition, as recovery does.
 			sub := New(c, n, 2, StencilStar, 1, petsc.ScatterDatatype)
 			g2 := sub.CreateGlobalVec()
-			sub.ScatterNatural(nat, g2)
+			sub.ScatterNaturalRange(nat, 0, len(nat), g2)
 			if nat2 := sub.GatherNatural(g2); len(nat2) != len(nat) {
 				t.Errorf("round-trip length mismatch")
 			} else {
@@ -92,7 +92,7 @@ func TestGatherNaturalAgglomerated(t *testing.T) {
 			t.Errorf("natural length %d", len(nat))
 		}
 		back := da.CreateGlobalVec()
-		da.ScatterNatural(nat, back)
+		da.ScatterNaturalRange(nat, 0, len(nat), back)
 		for i, v := range back.Array() {
 			if v != ga[i] {
 				t.Errorf("rank %d: value %d lost in round-trip", c.Rank(), i)

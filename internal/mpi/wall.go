@@ -298,4 +298,3 @@ func (c *Comm) agreeFullWall(words []uint64, deadline time.Time) ([]uint64, erro
 	c.w.wakeAll()
 	return val, nil
 }
-

@@ -143,9 +143,9 @@ type ctlMsg struct {
 // job is the controller's record of one tenant job.  Guarded by
 // Service.mu.
 type job struct {
-	id        uint64
-	spec      JobSpec
-	state     string
+	id         uint64
+	spec       JobSpec
+	state      string
 	ranks      []int // mesh ranks, job-rank order
 	intID      uint64
 	attempts   int

@@ -25,18 +25,18 @@ import (
 // report it Up only if that epoch is current, and the replacement drains
 // its inbound rings on attach for fresh-connection semantics.
 type Transport struct {
-	cfg   Config
-	seg   *Segment
+	cfg    Config
+	seg    *Segment
 	ownSeg bool
-	idx   int   // my index within cfg.Ranks
-	gi    []int // world rank → group index, -1 if not co-located
+	idx    int   // my index within cfg.Ranks
+	gi     []int // world rank → group index, -1 if not co-located
 
 	deliver transport.Handler
 	down    transport.DownFunc
 	health  atomic.Pointer[transport.HealthFuncs]
 	tracer  atomic.Pointer[obs.Tracer]
 
-	peers  []*shmPeer // one per group index; nil at idx
+	peers  []*shmPeer     // one per group index; nil at idx
 	door   *atomic.Uint32 // my presence slot's doorbell gate (consumer side)
 	bell   bell           // what the consumer parks on when the gate is up
 	epoch  atomic.Uint64
@@ -112,13 +112,13 @@ type Stats struct {
 }
 
 type shmCounters struct {
-	framesSent, framesRecv   atomic.Int64
-	bytesSent, bytesRecv     atomic.Int64
-	vectoredSends            atomic.Int64
-	ringFullStalls           atomic.Int64
-	stallNanos               atomic.Int64
-	beatsSent, beatsRecv     atomic.Int64
-	drainedBytes             atomic.Int64
+	framesSent, framesRecv atomic.Int64
+	bytesSent, bytesRecv   atomic.Int64
+	vectoredSends          atomic.Int64
+	ringFullStalls         atomic.Int64
+	stallNanos             atomic.Int64
+	beatsSent, beatsRecv   atomic.Int64
+	drainedBytes           atomic.Int64
 }
 
 // shmPeer is the per-peer state: the two directed rings and the failure
@@ -128,8 +128,8 @@ type shmPeer struct {
 	out  *ring
 	in   *ring
 
-	wmu     sync.Mutex // serializes producers on out (preserves SPSC)
-	outSegs [][]byte   // gather scratch, guarded by wmu
+	wmu     sync.Mutex     // serializes producers on out (preserves SPSC)
+	outSegs [][]byte       // gather scratch, guarded by wmu
 	door    *atomic.Uint32 // the peer's doorbell gate (producer side)
 	knock   knocker        // rings the peer's bell after a push
 

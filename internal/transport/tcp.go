@@ -187,14 +187,14 @@ type TCPStats struct {
 }
 
 type tcpCounters struct {
-	framesSent, framesRecv     atomic.Int64
-	bytesSent, bytesRecv       atomic.Int64
-	crcRejects, dupRejects     atomic.Int64
-	retransmits, dropped       atomic.Int64
-	corrupted, duplicated      atomic.Int64
-	acksSent, acksRecv         atomic.Int64
-	beatsSent, beatsRecv       atomic.Int64
-	vectoredSends, sealSpills  atomic.Int64
+	framesSent, framesRecv    atomic.Int64
+	bytesSent, bytesRecv      atomic.Int64
+	crcRejects, dupRejects    atomic.Int64
+	retransmits, dropped      atomic.Int64
+	corrupted, duplicated     atomic.Int64
+	acksSent, acksRecv        atomic.Int64
+	beatsSent, beatsRecv      atomic.Int64
+	vectoredSends, sealSpills atomic.Int64
 }
 
 // tcpPeer is one pooled peer connection and its reliability state.  The
